@@ -12,6 +12,60 @@ cargo test -q --workspace
 echo "== alloc regression gate (zero-allocation hot path) =="
 cargo test -q -p freeway-eval --features alloc-metrics --test alloc_regression
 
+echo "== paper tables gate (table/figure JSONs byte-stable) =="
+# Kernel and glue optimisations must keep every result bit-identical
+# (DESIGN.md §3g). Four paper artifacts are regenerated at their
+# run_experiments.sh scale in a scratch directory (the binaries write
+# results/<name>.json under their working directory) and compared with
+# the committed JSONs; only wall-clock fields are masked.
+paper_tmp=$(mktemp -d)
+regen_paper() {
+    local name=$1
+    shift
+    (cd "$paper_tmp" && env "$@" "$OLDPWD/target/release/$name" > /dev/null)
+}
+regen_paper table1 FREEWAY_BATCHES=300 FREEWAY_BATCH_SIZE=256
+regen_paper table2 FREEWAY_BATCHES=300 FREEWAY_BATCH_SIZE=256
+regen_paper fig9 FREEWAY_BATCHES=200 FREEWAY_BATCH_SIZE=256
+regen_paper table5 FREEWAY_BATCHES=150 FREEWAY_BATCH_SIZE=128
+python3 - "$paper_tmp" <<'PY'
+import json, sys
+WALL_CLOCK = {"update_us", "infer_us", "items_per_sec"}
+
+def first_difference(new, old, path="$"):
+    if isinstance(new, dict) and isinstance(old, dict):
+        if list(new) != list(old):
+            return f"{path}: keys {list(new)} != {list(old)}"
+        for key in new:
+            if key not in WALL_CLOCK:
+                diff = first_difference(new[key], old[key], f"{path}.{key}")
+                if diff:
+                    return diff
+        return None
+    if isinstance(new, list) and isinstance(old, list):
+        if len(new) != len(old):
+            return f"{path}: length {len(new)} != {len(old)}"
+        for i, (a, b) in enumerate(zip(new, old)):
+            diff = first_difference(a, b, f"{path}[{i}]")
+            if diff:
+                return diff
+        return None
+    if type(new) is not type(old) or new != old:
+        return f"{path}: {new!r} != committed {old!r}"
+    return None
+
+for name in ["table1", "table2", "fig9", "table5"]:
+    with open(f"{sys.argv[1]}/results/{name}.json", "rb") as fh:
+        new = fh.read()
+    with open(f"results/{name}.json", "rb") as fh:
+        old = fh.read()
+    if new != old:
+        diff = first_difference(json.loads(new), json.loads(old))
+        assert diff is None, f"{name}.json drifted from the committed artifact at {diff}"
+print("paper tables gate: table1, table2, fig9, table5 byte-stable")
+PY
+rm -rf "$paper_tmp"
+
 echo "== chaos recovery gate (fault-tolerant runtime) =="
 cargo test -q -p freeway-chaos --test recovery
 

@@ -161,13 +161,10 @@ impl KMeans {
         let first = rng.random_range(0..n);
         centroids.row_mut(0).copy_from_slice(data.row(first));
 
-        let mut dist_sq: Vec<f64> = data
-            .row_iter()
-            .map(|row| {
-                let dd = vector::euclidean_distance(row, centroids.row(0));
-                dd * dd
-            })
-            .collect();
+        // NaN start: `NaN.min(x) == x` for every `x`, so the first pass
+        // stores each row's squared distance as it is.
+        let mut dist_sq = vec![f64::NAN; n];
+        seed_distances(data, centroids.row(0), &mut dist_sq);
 
         for c in 1..self.k {
             let total: f64 = dist_sq.iter().sum();
@@ -187,12 +184,57 @@ impl KMeans {
                 idx
             };
             centroids.row_mut(c).copy_from_slice(data.row(chosen));
-            for (i, row) in data.row_iter().enumerate() {
-                let dd = vector::euclidean_distance(row, centroids.row(c));
-                dist_sq[i] = dist_sq[i].min(dd * dd);
-            }
+            seed_distances(data, centroids.row(c), &mut dist_sq);
         }
         centroids
+    }
+}
+
+/// Rows per register block of [`seed_distances`].
+const SEED_LANES: usize = 8;
+
+/// One k-means++ distance pass: `dist_sq[i] = min(dist_sq[i], dd * dd)`
+/// with `dd = euclidean_distance(row_i, centroid)`. Each row's squared
+/// differences accumulate in ascending-dimension order from `0.0`, then
+/// take the same `sqrt` and re-square as the per-row
+/// [`vector::euclidean_distance`] call (whose `-0.0`-started sum equals a
+/// `0.0`-started one on non-negative terms), so the result is
+/// bit-identical; the rows just run [`SEED_LANES`] at a time with their
+/// independent chains interleaved in registers.
+fn seed_distances(data: &Matrix, centroid: &[f64], dist_sq: &mut [f64]) {
+    let d = centroid.len();
+    debug_assert_eq!(dist_sq.len(), data.rows());
+    let fold = |slot: &mut f64, acc: f64| {
+        let dd = acc.sqrt();
+        *slot = slot.min(dd * dd);
+    };
+    if d == 0 {
+        dist_sq.iter_mut().for_each(|slot| fold(slot, 0.0));
+        return;
+    }
+    let rows = data.as_slice();
+    let blocks = rows.chunks_exact(d * SEED_LANES);
+    let tail = blocks.remainder();
+    let mut slots = dist_sq.chunks_exact_mut(SEED_LANES);
+    for (block, out) in blocks.zip(&mut slots) {
+        let mut acc = [0.0f64; SEED_LANES];
+        for (j, &cv) in centroid.iter().enumerate() {
+            for (l, a) in acc.iter_mut().enumerate() {
+                let diff = block[l * d + j] - cv;
+                *a += diff * diff;
+            }
+        }
+        for (slot, &a) in out.iter_mut().zip(&acc) {
+            fold(slot, a);
+        }
+    }
+    for (row, slot) in tail.chunks_exact(d).zip(slots.into_remainder()) {
+        let mut acc = 0.0;
+        for (&p, &cv) in row.iter().zip(centroid) {
+            let diff = p - cv;
+            acc += diff * diff;
+        }
+        fold(slot, acc);
     }
 }
 
@@ -200,9 +242,9 @@ impl KMeans {
 /// distance per row and returning whether any assignment changed.
 /// Bit-identical to calling [`nearest_centroid`] per row: each (point,
 /// centroid) pair accumulates its squared differences in the same
-/// ascending-dimension order and takes the same `sqrt`, and the winner
-/// scan is the same ascending-centroid strict `<` comparison. The only
-/// difference is that the `k` independent accumulation chains run
+/// ascending-dimension order, and [`winner_scan`] returns the same winner
+/// and rooted distance as the per-pair `sqrt` and ascending-centroid
+/// strict `<` comparison. The `k` independent accumulation chains run
 /// interleaved — via a transposed centroid copy so the inner loop is
 /// contiguous — which fills the FP pipeline without touching any pair's
 /// arithmetic.
@@ -252,6 +294,11 @@ fn assign_nearest(
         10 => assign_rows::<10>(data, d, ct, assignments, dists),
         12 => assign_rows::<12>(data, d, ct, assignments, dists),
         16 => assign_rows::<16>(data, d, ct, assignments, dists),
+        // CEC fits `classes x cec_cluster_multiplier` clusters: 2, 5, 7
+        // and 10 classes at the default multiplier of 4.
+        20 => assign_rows::<20>(data, d, ct, assignments, dists),
+        28 => assign_rows::<28>(data, d, ct, assignments, dists),
+        40 => assign_rows::<40>(data, d, ct, assignments, dists),
         _ => {
             let mut changed = false;
             for ((row, slot), dist_out) in
@@ -294,7 +341,7 @@ fn assign_rows<const K: usize>(
                 *a += diff * diff;
             }
         }
-        let (best, best_d) = winner_scan(&mut acc);
+        let (best, best_d) = winner_scan(&acc);
         changed |= *slot != best;
         *slot = best;
         *dist_out = best_d;
@@ -302,22 +349,44 @@ fn assign_rows<const K: usize>(
     changed
 }
 
-/// Branchless nearest-centroid selection over squared distances: the same
-/// per-lane `sqrt` and ascending-centroid strict-`<` scan as
-/// [`nearest_centroid`], with conditional moves — the winner flips
-/// unpredictably while centroids move, and a mispredicted branch per
-/// (point, centroid) pair costs more than the distance accumulation.
+/// Distance in units in the last place within which a larger square may
+/// share the winning square's root. The provable bound is 4 (see
+/// [`winner_scan`]); 8 leaves a margin, and a wider filter only costs
+/// extra `sqrt` checks, never a different answer.
+const SQRT_MERGE_ULPS: u64 = 8;
+
+/// Nearest-centroid selection over per-centroid squared distances (each
+/// a sum of squares: non-negative, `+inf` or NaN). Returns exactly what
+/// [`nearest_centroid`] returns — the first centroid whose *rooted*
+/// distance is strictly smallest, and that distance — while taking one
+/// `sqrt` per point instead of one per (point, centroid) pair.
+///
+/// The branchless strict-`<` scan runs over the squares; `sqrt` is
+/// monotone, so the root-space winner is the squared-space winner or an
+/// earlier lane whose larger square rounds to the same root. Two squares
+/// whose roots round to one value `m` differ by at most `2 * ulp(m) * m`,
+/// about `2^-51` of either square, which is at most 4 ulps of the
+/// smaller: only earlier lanes within [`SQRT_MERGE_ULPS`] of the winning
+/// square pay a `sqrt` to settle the tie, and the lowest one that
+/// matches wins, as in the root-space scan. NaN lanes never win either
+/// scan. Conditional moves, not branches: the winner flips unpredictably
+/// while centroids move.
 #[inline]
-fn winner_scan(acc: &mut [f64]) -> (usize, f64) {
-    for a in acc.iter_mut() {
-        *a = a.sqrt();
-    }
+fn winner_scan(sq: &[f64]) -> (usize, f64) {
     let mut best = 0usize;
-    let mut best_d = f64::INFINITY;
-    for (c, &dist) in acc.iter().enumerate() {
-        let better = dist < best_d;
-        best_d = if better { dist } else { best_d };
+    let mut best_sq = f64::INFINITY;
+    for (c, &s) in sq.iter().enumerate() {
+        let better = s < best_sq;
+        best_sq = if better { s } else { best_sq };
         best = if better { c } else { best };
+    }
+    let best_d = best_sq.sqrt();
+    // Every earlier lane holds a strictly larger square (or NaN), so its
+    // bit pattern is the larger one.
+    for (c, &s) in sq[..best].iter().enumerate() {
+        if s.to_bits().wrapping_sub(best_sq.to_bits()) <= SQRT_MERGE_ULPS && s.sqrt() == best_d {
+            return (c, best_d);
+        }
     }
     (best, best_d)
 }
@@ -420,13 +489,53 @@ mod tests {
         KMeans::new(5, 0).fit(&Matrix::zeros(3, 2));
     }
 
+    /// The original per-row k-means++ seeding, kept verbatim as the
+    /// bit-identity oracle for `init_plus_plus`.
+    fn reference_init_plus_plus(km: &KMeans, data: &Matrix, rng: &mut StdRng) -> Matrix {
+        let n = data.rows();
+        let d = data.cols();
+        let mut centroids = Matrix::zeros(km.k, d);
+        let first = rng.random_range(0..n);
+        centroids.row_mut(0).copy_from_slice(data.row(first));
+        let mut dist_sq: Vec<f64> = data
+            .row_iter()
+            .map(|row| {
+                let dd = vector::euclidean_distance(row, centroids.row(0));
+                dd * dd
+            })
+            .collect();
+        for c in 1..km.k {
+            let total: f64 = dist_sq.iter().sum();
+            let chosen = if total <= f64::EPSILON {
+                rng.random_range(0..n)
+            } else {
+                let mut target = rng.random_range(0.0..total);
+                let mut idx = n - 1;
+                for (i, &w) in dist_sq.iter().enumerate() {
+                    if target < w {
+                        idx = i;
+                        break;
+                    }
+                    target -= w;
+                }
+                idx
+            };
+            centroids.row_mut(c).copy_from_slice(data.row(chosen));
+            for (i, row) in data.row_iter().enumerate() {
+                let dd = vector::euclidean_distance(row, centroids.row(c));
+                dist_sq[i] = dist_sq[i].min(dd * dd);
+            }
+        }
+        centroids
+    }
+
     /// The original (pre-scratch, per-pair `nearest_centroid`) Lloyd loop,
     /// kept verbatim as the bit-identity oracle for `fit`.
     fn reference_fit(km: &KMeans, data: &Matrix) -> KMeansResult {
         let n = data.rows();
         let d = data.cols();
         let mut rng = rand::rngs::StdRng::seed_from_u64(km.seed);
-        let mut centroids = km.init_plus_plus(data, &mut rng);
+        let mut centroids = reference_init_plus_plus(km, data, &mut rng);
         let mut assignments = vec![0usize; n];
         let mut iterations = 0;
         for iter in 0..km.max_iters {
@@ -477,13 +586,22 @@ mod tests {
 
     #[test]
     fn fit_is_bit_identical_to_reference() {
-        for (n, d, k, seed) in
-            [(512, 10, 8, 7u64), (64, 3, 5, 1), (40, 1, 4, 9), (20, 16, 3, 42), (9, 2, 9, 5)]
+        let mut cases =
+            vec![(512, 10, 8, 7u64), (64, 3, 5, 1), (40, 1, 4, 9), (20, 16, 3, 42), (9, 2, 9, 5)];
+        // Every const-K lane count `assign_nearest` dispatches, plus two
+        // generic-path counts (9, 13); the CEC shape is 512 x 20.
+        for (i, k) in
+            [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 20, 28, 40].into_iter().enumerate()
         {
+            cases.push((512, 20, k, 100 + i as u64));
+        }
+        // Row counts that leave a seeding-block remainder.
+        cases.extend([(45, 7, 20, 3), (83, 2, 28, 4)]);
+        for (n, d, k, seed) in cases {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed * 31 + 1);
             let rows: Vec<Vec<f64>> =
                 (0..n).map(|_| (0..d).map(|_| rng.random_range(-3.0..3.0)).collect()).collect();
-            let data = Matrix::from_rows(&rows);
+            let data = Matrix::from_vec(n, d, rows.concat());
             let km = KMeans::new(k, seed);
             let fast = km.fit(&data);
             let refr = reference_fit(&km, &data);
@@ -499,5 +617,102 @@ mod tests {
         let refr = reference_fit(&km, &dup);
         assert_eq!(fast.assignments, refr.assignments);
         assert_eq!(fast.centroids, refr.centroids);
+    }
+
+    /// The per-pair form `winner_scan` replaces: `sqrt` every lane, then
+    /// the ascending strict-`<` scan of [`nearest_centroid`].
+    fn reference_winner_scan(sq: &[f64]) -> (usize, f64) {
+        let mut best = 0usize;
+        let mut best_d = f64::INFINITY;
+        for (c, &s) in sq.iter().enumerate() {
+            let dist = s.sqrt();
+            if dist < best_d {
+                best_d = dist;
+                best = c;
+            }
+        }
+        (best, best_d)
+    }
+
+    fn assert_scan_matches(sq: &[f64]) {
+        let (best, dist) = winner_scan(sq);
+        let (ref_best, ref_dist) = reference_winner_scan(sq);
+        assert_eq!(best, ref_best, "lanes {sq:?}");
+        assert_eq!(dist.to_bits(), ref_dist.to_bits(), "lanes {sq:?}");
+    }
+
+    /// Every square whose root `sqrt` rounds to `base.sqrt()`, in
+    /// ascending order (one ulp apart).
+    fn merged_run(base: f64) -> Vec<f64> {
+        let root = base.sqrt();
+        let mut lowest = base;
+        while lowest.next_down().sqrt() == root {
+            lowest = lowest.next_down();
+        }
+        let mut run = vec![lowest];
+        while run[run.len() - 1].next_up().sqrt() == root {
+            run.push(run[run.len() - 1].next_up());
+        }
+        run
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn winner_scan_matches_sqrt_every_lane(
+            lanes in proptest::collection::vec(0.0..50.0f64, 1..48),
+            root in 0.5..6.0f64,
+            before in 0usize..48,
+            after in 0usize..48,
+            specials in proptest::collection::vec(0usize..4, 1..48),
+        ) {
+            assert_scan_matches(&lanes);
+            // Plant a run of squares sharing one root below every other
+            // lane: its larger squares go alternately before and after
+            // the smallest one.
+            let mut sq: Vec<f64> = lanes.iter().map(|v| v + 40.0).collect();
+            let run = merged_run(root * root);
+            let mut min_at = before % (sq.len() + 1);
+            sq.insert(min_at, run[0]);
+            for (i, &v) in run.iter().enumerate().skip(1) {
+                if i % 2 == 1 {
+                    sq.insert(min_at, v);
+                    min_at += 1;
+                } else {
+                    sq.insert((min_at + 1 + after).min(sq.len()), v);
+                }
+            }
+            assert_scan_matches(&sq);
+            // NaN and +inf lanes mixed in, including all-non-finite rows.
+            let mixed: Vec<f64> = sq
+                .iter()
+                .zip(specials.iter().cycle())
+                .map(|(&v, &s)| match s {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    _ => v,
+                })
+                .collect();
+            assert_scan_matches(&mixed);
+            let non_finite: Vec<f64> =
+                specials.iter().map(|&s| if s % 2 == 0 { f64::NAN } else { f64::INFINITY }).collect();
+            assert_scan_matches(&non_finite);
+        }
+    }
+
+    #[test]
+    fn winner_scan_resolves_sqrt_merged_ties_to_the_lowest_lane() {
+        // A run of distinct squares sharing one root must exist for the
+        // property test to mean anything.
+        let run = merged_run(2.0);
+        assert!(run.len() >= 2, "no sqrt-merged squares next to 2.0: {run:?}");
+        let larger = run[run.len() - 1];
+        assert_ne!(larger, run[0]);
+        // The larger square comes first: the root-space scan keeps it.
+        assert_eq!(winner_scan(&[larger, run[0]]), (0, run[0].sqrt()));
+        assert_eq!(winner_scan(&[9.0, larger, 7.0, run[0]]), (1, run[0].sqrt()));
+        assert_eq!(winner_scan(&[run[0], larger]), (0, run[0].sqrt()));
+        assert_eq!(winner_scan(&[0.0, 0.0]), (0, 0.0));
+        assert_scan_matches(&[f64::MIN_POSITIVE, f64::MIN_POSITIVE.next_down(), 5e-324, 0.0]);
+        assert_scan_matches(&[f64::MAX, f64::MAX.next_down(), f64::INFINITY, f64::NAN]);
     }
 }

@@ -75,9 +75,11 @@ impl Default for AswParams {
 /// window.insert(Arc::new(Matrix::filled(4, 2, 0.0)), vec![0; 4].into(), vec![0.0, 0.0]);
 /// window.insert(Arc::new(Matrix::filled(4, 2, 1.0)), vec![1; 4].into(), vec![1.0, 0.0]);
 /// assert!(window.is_full());
-/// let (x, labels, weights) = window.drain_for_update().unwrap();
-/// assert_eq!(x.rows(), 8);
-/// assert_eq!(labels.len(), weights.len());
+/// let batches = window.drain_for_update().unwrap();
+/// assert_eq!(batches.iter().map(|b| b.x.rows()).sum::<usize>(), 8);
+/// assert!(batches[0].weight < batches[1].weight);
+/// // The newest batch seeds the next window.
+/// assert_eq!(window.len(), 1);
 /// ```
 #[derive(Clone, Debug)]
 pub struct AdaptiveStreamingWindow {
@@ -228,36 +230,18 @@ impl AdaptiveStreamingWindow {
         Some(acc)
     }
 
-    /// Stacks all held data into one training set with per-sample weights
-    /// (each sample inherits its batch weight) and clears the window,
-    /// keeping the newest batch as the seed of the next window so the long
-    /// model never loses continuity.
+    /// Hands over every held batch (oldest first, each with its decay
+    /// weight, which all of its samples inherit) as the long model's
+    /// training set, and clears the window, keeping the newest batch as
+    /// the seed of the next window so the long model never loses
+    /// continuity. The batches are shared, not copied.
     ///
     /// Returns `None` when empty.
-    pub fn drain_for_update(&mut self) -> Option<(Matrix, Vec<usize>, Vec<f64>)> {
-        if self.batches.is_empty() {
-            return None;
-        }
-        let total_rows: usize = self.batches.iter().map(|b| b.x.rows()).sum();
-        let dim = self.batches[0].x.cols();
-        let mut x = Matrix::zeros(total_rows, dim);
-        let mut labels = Vec::with_capacity(total_rows);
-        let mut weights = Vec::with_capacity(total_rows);
-        let mut r = 0;
-        for b in &self.batches {
-            for row in b.x.row_iter() {
-                x.row_mut(r).copy_from_slice(row);
-                r += 1;
-            }
-            labels.extend_from_slice(&b.labels);
-            weights.extend(std::iter::repeat_n(b.weight, b.x.rows()));
-        }
+    pub fn drain_for_update(&mut self) -> Option<Vec<WindowBatch>> {
         // Seed the next window with the most recent batch at full weight.
-        let newest = self.batches.pop()?;
-        self.batches.clear();
-        self.items = newest.x.rows();
-        self.batches.push(WindowBatch { weight: 1.0, ..newest });
-        Some((x, labels, weights))
+        let seed = WindowBatch { weight: 1.0, ..self.batches.last()?.clone() };
+        self.items = seed.x.rows();
+        Some(std::mem::replace(&mut self.batches, vec![seed]))
     }
 
     /// Read-only view of held batches (oldest first).
@@ -397,16 +381,17 @@ mod tests {
     fn drain_produces_weighted_training_set_and_reseeds() {
         let mut w = window(10);
         let (x, y, p) = batch_at(1.0, 3);
-        w.insert(x, y, p);
-        let (x, y, p) = batch_at(2.0, 2);
-        w.insert(x, y, p);
-        let (x, labels, weights) = w.drain_for_update().expect("non-empty");
-        assert_eq!(x.rows(), 5);
-        assert_eq!(labels.len(), 5);
-        assert_eq!(weights.len(), 5);
-        // First three rows share the (decayed) older weight; last two are 1.
-        assert!(weights[0] < 1.0);
-        assert_eq!(weights[3], 1.0);
+        w.insert(Arc::clone(&x), y, p);
+        let (x2, y, p) = batch_at(2.0, 2);
+        w.insert(x2, y, p);
+        let drained = w.drain_for_update().expect("non-empty");
+        assert_eq!(drained.len(), 2);
+        assert_eq!(drained[0].x.rows(), 3);
+        assert_eq!(drained[0].labels.len(), 3);
+        assert!(Arc::ptr_eq(&drained[0].x, &x), "batches are handed over, not copied");
+        // The older batch carries its decayed weight; the newest is 1.
+        assert!(drained[0].weight < 1.0);
+        assert_eq!(drained[1].weight, 1.0);
         // Window reseeded with the newest batch only.
         assert_eq!(w.len(), 1);
         assert_eq!(w.items(), 2);

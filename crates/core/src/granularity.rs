@@ -11,7 +11,7 @@
 //! `D = ‖ȳ_n − ȳ_{n−1}‖` (distance to its last training batch) and long
 //! levels use `D = ‖ȳ_n − ȳ_ASW‖`.
 
-use crate::asw::{AdaptiveStreamingWindow, AswParams};
+use crate::asw::{AdaptiveStreamingWindow, AswParams, WindowBatch};
 use crate::config::FreewayConfig;
 use crate::error::CheckpointError;
 use freeway_linalg::{pool, vector, Matrix};
@@ -357,7 +357,7 @@ impl MultiGranularity {
                     if window.is_full() {
                         let disorder = window.disorder();
                         let window_mean = window.projected_mean();
-                        if let Some((wx, wy, ww)) = window.drain_for_update() {
+                        if let Some(batches) = window.drain_for_update() {
                             // Warm-start from the short model, then smooth
                             // with a few weighted passes over the window.
                             // The short model supplies position (it has
@@ -390,9 +390,7 @@ impl MultiGranularity {
                                         std::panic::AssertUnwindSafe(move || {
                                             train_weighted_precomputed(
                                                 &mut snapshot,
-                                                &wx,
-                                                &wy,
-                                                &ww,
+                                                &batches,
                                                 subsets,
                                                 epochs,
                                             );
@@ -408,9 +406,7 @@ impl MultiGranularity {
                             } else {
                                 train_weighted_precomputed(
                                     &mut snapshot,
-                                    &wx,
-                                    &wy,
-                                    &ww,
+                                    &batches,
                                     subsets,
                                     epochs,
                                 );
@@ -665,55 +661,103 @@ pub fn gaussian_kernel(distance: f64, sigma: f64) -> f64 {
     (-(distance * distance) / (2.0 * sigma * sigma)).exp()
 }
 
-/// Runs `epochs` weighted passes, each splitting the window into
-/// `subsets` chunks and merging per-chunk gradients — the pre-computing
-/// window of §V-B. With `subsets == 1` each pass is a single weighted
-/// batch step. The epoch loop lives here (not at the call site) so the
-/// chunk matrix and gradient buffer warm once and are reused across
-/// every subset of every epoch: a warm window update allocates only the
-/// merged-gradient accumulator, while producing bit-identical parameters
-/// to the old slice-and-allocate loop (same chunk contents, same
-/// gradient arithmetic, same merge order).
+/// Runs `epochs` weighted passes over the drained window `batches`
+/// (oldest first), each splitting the window's rows into `subsets`
+/// chunks and merging per-chunk gradients — the pre-computing window of
+/// §V-B. With `subsets == 1` (or too few rows to split) each pass is a
+/// single weighted step on the stacked window.
+///
+/// A chunk that is exactly one window batch — the steady state, with as
+/// many equal batches as subsets — is fed to the gradient straight from
+/// the batch's shared matrix; only chunks straddling two batches are
+/// copied into scratch. The chunk boundaries, each chunk's rows, labels
+/// and weights, the gradient arithmetic and the merge order are those of
+/// splitting the stacked window, so the parameters are bit-identical to
+/// that (copying) formulation. The scratch buffers warm once and are
+/// reused across every subset of every epoch.
 fn train_weighted_precomputed(
     trainer: &mut Trainer,
-    x: &Matrix,
-    labels: &[usize],
-    weights: &[f64],
+    batches: &[WindowBatch],
     subsets: usize,
     epochs: usize,
 ) {
-    let n = x.rows();
+    let n: usize = batches.iter().map(|b| b.x.rows()).sum();
     if n == 0 {
         return;
     }
     if subsets <= 1 || n < subsets * 2 {
+        let (x, labels, weights) = stack_window(batches);
         for _ in 0..epochs {
-            trainer.train_weighted_step(x, labels, Some(weights));
+            trainer.train_weighted_step(&x, &labels, Some(&weights));
         }
         return;
     }
+    let chunk = n.div_ceil(subsets);
+    let cols = batches[0].x.cols();
     let mut sub_x = Matrix::zeros(0, 0);
+    let mut sub_y = Vec::new();
+    let mut sub_w = Vec::new();
     let mut grad = Vec::new();
     for _ in 0..epochs {
         let mut acc = PrecomputeAccumulator::new();
-        let chunk = n.div_ceil(subsets);
+        // Cursor over the window: row `start` is row `offset` of
+        // `batches[cursor]`.
+        let (mut cursor, mut offset) = (0, 0);
         let mut start = 0;
         while start < n {
-            let end = (start + chunk).min(n);
-            let sub_y = &labels[start..end];
-            let sub_w = &weights[start..end];
+            let len = (start + chunk).min(n) - start;
+            let head = cursor;
+            let whole_batch = offset == 0 && batches[head].x.rows() == len;
+            sub_w.clear();
+            if !whole_batch {
+                sub_y.clear();
+                sub_x.resize(len, cols);
+            }
+            let mut filled = 0;
+            while filled < len {
+                let batch = &batches[cursor];
+                let take = (batch.x.rows() - offset).min(len - filled);
+                sub_w.extend(std::iter::repeat_n(batch.weight, take));
+                if !whole_batch {
+                    sub_y.extend_from_slice(&batch.labels[offset..offset + take]);
+                    sub_x.as_mut_slice()[filled * cols..(filled + take) * cols].copy_from_slice(
+                        &batch.x.as_slice()[offset * cols..(offset + take) * cols],
+                    );
+                }
+                filled += take;
+                offset += take;
+                if offset == batch.x.rows() {
+                    cursor += 1;
+                    offset = 0;
+                }
+            }
             let weight_sum: f64 = sub_w.iter().sum();
             if weight_sum > 0.0 {
-                x.copy_row_range_into(start, end, &mut sub_x);
-                trainer.gradient_into(&sub_x, sub_y, Some(sub_w), &mut grad);
+                if whole_batch {
+                    let batch = &batches[head];
+                    trainer.gradient_into(&batch.x, &batch.labels, Some(&sub_w), &mut grad);
+                } else {
+                    trainer.gradient_into(&sub_x, &sub_y, Some(&sub_w), &mut grad);
+                }
                 acc.add_subset(&grad, weight_sum);
             }
-            start = end;
+            start += len;
         }
         if let Some(merged) = acc.take_merged() {
             trainer.apply_gradient(&merged);
         }
     }
+}
+
+/// The whole window as one contiguous training set: rows and labels in
+/// batch order, each sample weighted by its batch's decay weight.
+fn stack_window(batches: &[WindowBatch]) -> (Matrix, Vec<usize>, Vec<f64>) {
+    let rows = batches.iter().map(|b| b.x.rows()).sum();
+    let data = batches.iter().flat_map(|b| b.x.as_slice().iter().copied()).collect();
+    let x = Matrix::from_vec(rows, batches[0].x.cols(), data);
+    let labels = batches.iter().flat_map(|b| b.labels.iter().copied()).collect();
+    let weights = batches.iter().flat_map(|b| std::iter::repeat_n(b.weight, b.x.rows())).collect();
+    (x, labels, weights)
 }
 
 #[cfg(test)]
@@ -902,5 +946,144 @@ mod warmstart_tests {
         mg.train(&x, &y, &p);
         let diag = mg.level_diagnostics(&p);
         assert!(diag[1].0.is_some(), "long level votes again after a clean window");
+    }
+}
+
+#[cfg(test)]
+mod window_update_tests {
+    use super::*;
+    use freeway_ml::Sgd;
+
+    /// The stacked training set the window drain used to build, kept
+    /// verbatim as the oracle's input.
+    fn reference_stack(batches: &[WindowBatch]) -> (Matrix, Vec<usize>, Vec<f64>) {
+        let total_rows: usize = batches.iter().map(|b| b.x.rows()).sum();
+        let dim = batches[0].x.cols();
+        let mut x = Matrix::zeros(total_rows, dim);
+        let mut labels = Vec::with_capacity(total_rows);
+        let mut weights = Vec::with_capacity(total_rows);
+        let mut r = 0;
+        for b in batches {
+            for row in b.x.row_iter() {
+                x.row_mut(r).copy_from_slice(row);
+                r += 1;
+            }
+            labels.extend_from_slice(&b.labels);
+            weights.extend(std::iter::repeat_n(b.weight, b.x.rows()));
+        }
+        (x, labels, weights)
+    }
+
+    /// The chunk-copying update over the stacked window, kept verbatim as
+    /// the bit-identity oracle for `train_weighted_precomputed`.
+    fn reference_train_weighted_precomputed(
+        trainer: &mut Trainer,
+        x: &Matrix,
+        labels: &[usize],
+        weights: &[f64],
+        subsets: usize,
+        epochs: usize,
+    ) {
+        let n = x.rows();
+        if n == 0 {
+            return;
+        }
+        if subsets <= 1 || n < subsets * 2 {
+            for _ in 0..epochs {
+                trainer.train_weighted_step(x, labels, Some(weights));
+            }
+            return;
+        }
+        let mut sub_x = Matrix::zeros(0, 0);
+        let mut grad = Vec::new();
+        for _ in 0..epochs {
+            let mut acc = PrecomputeAccumulator::new();
+            let chunk = n.div_ceil(subsets);
+            let mut start = 0;
+            while start < n {
+                let end = (start + chunk).min(n);
+                let sub_y = &labels[start..end];
+                let sub_w = &weights[start..end];
+                let weight_sum: f64 = sub_w.iter().sum();
+                if weight_sum > 0.0 {
+                    x.copy_row_range_into(start, end, &mut sub_x);
+                    trainer.gradient_into(&sub_x, sub_y, Some(sub_w), &mut grad);
+                    acc.add_subset(&grad, weight_sum);
+                }
+                start = end;
+            }
+            if let Some(merged) = acc.take_merged() {
+                trainer.apply_gradient(&merged);
+            }
+        }
+    }
+
+    /// A window holding batches of the given sizes (5 features, 3
+    /// classes), drained as the long-model update would drain it.
+    fn drained_window(sizes: &[usize], params: AswParams) -> Vec<WindowBatch> {
+        let mut window = AdaptiveStreamingWindow::new(params);
+        for (b, &rows) in sizes.iter().enumerate() {
+            let fill = |i: usize| ((i * 7 + b * 131) as f64 * 0.37).sin() * 3.0;
+            let x = Matrix::from_vec(rows, 5, (0..rows * 5).map(fill).collect());
+            let labels: Vec<usize> = (0..rows).map(|i| (i * 5 + b) % 3).collect();
+            window.insert(Arc::new(x), labels.into(), vec![b as f64 * 0.7, (b % 3) as f64]);
+        }
+        window.drain_for_update().expect("window holds batches")
+    }
+
+    #[test]
+    fn zero_copy_window_update_is_bit_identical_to_stacked_reference() {
+        let roomy = AswParams { max_batches: 100, max_items: 1 << 20, ..Default::default() };
+        let evicting = AswParams {
+            base_decay: 0.5,
+            rank_decay: 0.4,
+            disorder_boost: 0.0,
+            min_weight: 0.3,
+            ..roomy
+        };
+        let cases: [(&[usize], usize, usize, &AswParams); 7] = [
+            // Steady state: every subset is one whole batch.
+            (&[256, 256, 256, 256], 4, 2, &roomy),
+            // Uneven batches: subsets straddle batch boundaries.
+            (&[100, 37, 256, 9, 64], 4, 2, &roomy),
+            (&[50, 50, 50], 4, 3, &roomy),
+            (&[64, 64, 64, 64, 64, 64], 3, 2, &roomy),
+            // precompute_subsets = 1 and too few rows to split: one
+            // stacked step per epoch.
+            (&[64, 30, 64], 1, 2, &roomy),
+            (&[3, 2], 4, 1, &roomy),
+            // Heavy decay evicts older batches before the drain.
+            (&[40, 80, 40, 80, 40, 80], 4, 2, &evicting),
+        ];
+        for (sizes, subsets, epochs, params) in cases {
+            let batches = drained_window(sizes, params.clone());
+            if std::ptr::eq(params, &evicting) {
+                assert!(batches.len() < sizes.len(), "decay must evict a batch: {sizes:?}");
+            }
+            for spec in [ModelSpec::lr(5, 3), ModelSpec::mlp(5, vec![8], 3)] {
+                let fresh = || Trainer::new(spec.build(11), Box::new(Sgd::new(0.3)));
+                let mut zero_copy = fresh();
+                train_weighted_precomputed(&mut zero_copy, &batches, subsets, epochs);
+                let mut reference = fresh();
+                let (x, labels, weights) = reference_stack(&batches);
+                reference_train_weighted_precomputed(
+                    &mut reference,
+                    &x,
+                    &labels,
+                    &weights,
+                    subsets,
+                    epochs,
+                );
+                let bits = |t: &Trainer| -> Vec<u64> {
+                    t.model().parameters().iter().map(|p| p.to_bits()).collect()
+                };
+                assert_eq!(
+                    bits(&zero_copy),
+                    bits(&reference),
+                    "sizes {sizes:?}, {subsets} subsets, {epochs} epochs"
+                );
+                assert_ne!(bits(&zero_copy), bits(&fresh()), "the update must train");
+            }
+        }
     }
 }

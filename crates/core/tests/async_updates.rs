@@ -81,3 +81,45 @@ fn slow_long_update_does_not_block_predict_proba() {
         "harvest must install the completed long-model update"
     );
 }
+
+/// The async update trains on the same shared window batches as the
+/// synchronous one: once each job is harvested, the long model is
+/// bitwise the synchronous bank's. (The synchronous update is checked
+/// bit-for-bit against the stacked-window formulation by the
+/// granularity unit tests, so this pins the async path to it too.)
+#[test]
+fn async_window_update_matches_the_synchronous_one_bitwise() {
+    pool::configure(2);
+    assert!(pool::global().is_parallel(), "test needs a parallel pool");
+    let config = |async_long_updates| FreewayConfig {
+        model_num: 3,
+        asw_max_batches: 2,
+        precompute_subsets: 4,
+        num_threads: 2,
+        async_long_updates,
+        ..Default::default()
+    };
+    let spec = ModelSpec::lr(4, 2);
+    let mut sync_bank = MultiGranularity::new(spec.clone(), &config(false));
+    let mut async_bank = MultiGranularity::new(spec, &config(true));
+    let mut completions = 0;
+    // Uneven batch sizes, so window subsets straddle batches.
+    for (seed, rows) in [64usize, 100, 64, 37, 256, 64, 90, 64, 64, 128].into_iter().enumerate() {
+        let (x, y, projected) = batch(rows, seed as u64);
+        sync_bank.train(&x, &y, &projected);
+        async_bank.train(&x, &y, &projected);
+        completions += async_bank.pending_async_updates();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while async_bank.pending_async_updates() > 0 {
+            assert!(Instant::now() < deadline, "async long update never completed");
+            std::thread::sleep(Duration::from_millis(2));
+            async_bank.harvest_async_updates();
+        }
+        let bits = |bank: &MultiGranularity| -> Vec<Vec<u64>> {
+            let levels = bank.level_parameters();
+            levels.iter().map(|p| p.iter().map(|v| v.to_bits()).collect()).collect()
+        };
+        assert_eq!(bits(&sync_bank), bits(&async_bank), "after batch {seed}");
+    }
+    assert!(completions >= 4, "only {completions} async window updates ran");
+}

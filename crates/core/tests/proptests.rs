@@ -54,11 +54,10 @@ proptest! {
         // the window's own accounting exactly.
         let held = w.items();
         prop_assert!(held <= total);
-        let (x, labels, weights) = w.drain_for_update().unwrap();
-        prop_assert_eq!(x.rows(), held);
-        prop_assert_eq!(labels.len(), held);
-        prop_assert_eq!(weights.len(), held);
-        prop_assert!(weights.iter().all(|&w| w > 0.0));
+        let batches = w.drain_for_update().unwrap();
+        prop_assert_eq!(batches.iter().map(|b| b.x.rows()).sum::<usize>(), held);
+        prop_assert_eq!(batches.iter().map(|b| b.labels.len()).sum::<usize>(), held);
+        prop_assert!(batches.iter().all(|b| b.weight > 0.0));
     }
 
     #[test]

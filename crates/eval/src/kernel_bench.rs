@@ -3,10 +3,12 @@
 //! Each point times one kernel at one shape and reports achieved GFLOP/s
 //! — the machine-readable companion to the end-to-end throughput sweep,
 //! so a kernel regression is attributable without re-deriving it from
-//! items/second. Shapes mirror the shipped configurations: the LR head
-//! (`256x10x2`), the MLP hidden/head layers, and cache-straddling square
-//! blocks for the tiled paths.
+//! items/second. Shapes mirror the shipped configurations: the LR heads
+//! (`256x10x2`, and the 5- and 7-class heads of NSL-KDD and Covertype),
+//! the MLP hidden/head layers, cache-straddling square blocks for the
+//! tiled paths, and the CEC k-means fit of a 5-class stream.
 
+use freeway_cluster::KMeans;
 use freeway_linalg::{vector, Matrix};
 use serde::Serialize;
 use std::time::Instant;
@@ -15,9 +17,10 @@ use std::time::Instant;
 #[derive(Clone, Debug, Serialize)]
 pub struct KernelBenchPoint {
     /// Kernel name (`dot`, `axpy`, `matmul`, `matmul_transa`,
-    /// `matmul_transb`, `softmax_rows`).
+    /// `matmul_transb`, `softmax_rows`, `kmeans_fit`).
     pub kernel: String,
-    /// Shape tag, `m x k x n` for matmuls, element count otherwise.
+    /// Shape tag, `m x k x n` for matmuls, `rows x cols` for softmax,
+    /// `rows x dims, k=clusters` for k-means, element count otherwise.
     pub shape: String,
     /// Floating-point operations per call (the conventional count, e.g.
     /// `2mkn` for matmul).
@@ -94,10 +97,11 @@ pub fn run() -> Vec<KernelBenchPoint> {
         fill(&mut a, 1);
     }
 
-    // Matmul shapes: LR head, MLP hidden + head, and a square block that
-    // exercises the cache tiling.
-    let matmul_shapes: [(usize, usize, usize); 4] =
-        [(256, 10, 2), (256, 10, 64), (256, 64, 2), (128, 128, 128)];
+    // Matmul shapes: LR heads (2, 5 and 7 classes — the head width picks
+    // the kernel's const-width arm), MLP hidden + head, and a square
+    // block that exercises the cache tiling.
+    let matmul_shapes: [(usize, usize, usize); 6] =
+        [(256, 10, 2), (256, 20, 5), (256, 10, 7), (256, 10, 64), (256, 64, 2), (128, 128, 128)];
     for &(m, k, n) in &matmul_shapes {
         let mut a = Matrix::zeros(m, k);
         let mut b = Matrix::zeros(k, n);
@@ -151,20 +155,41 @@ pub fn run() -> Vec<KernelBenchPoint> {
         });
     }
 
-    // Softmax at the LR head shape (exp-bound; counted as 5 flops per
-    // element to make regressions visible, the constant is nominal).
-    let mut logits = Matrix::zeros(256, 2);
-    fill(logits.as_mut_slice(), 8);
-    let base = logits.clone();
-    let flops = 5 * 256 * 2;
-    let (ns, gf) = time_calls(flops, || {
-        logits.as_mut_slice().copy_from_slice(base.as_slice());
-        freeway_ml::loss::softmax_rows(&mut logits);
-        logits.as_slice()[0]
-    });
+    // Softmax at the 2- and 5-class LR head shapes (exp-bound; counted
+    // as 5 flops per element to make regressions visible, the constant
+    // is nominal).
+    for cols in [2usize, 5] {
+        let mut logits = Matrix::zeros(256, cols);
+        fill(logits.as_mut_slice(), 8);
+        let base = logits.clone();
+        let flops = 5 * 256 * cols as u64;
+        let (ns, gf) = time_calls(flops, || {
+            logits.as_mut_slice().copy_from_slice(base.as_slice());
+            freeway_ml::loss::softmax_rows(&mut logits);
+            logits.as_slice()[0]
+        });
+        points.push(KernelBenchPoint {
+            kernel: "softmax_rows".into(),
+            shape: format!("256x{cols}"),
+            flops_per_call: flops,
+            ns_per_call: ns,
+            gflops: gf,
+        });
+    }
+
+    // The CEC fit of a 5-class stream: 256 guidance rows plus a 256-row
+    // batch, 20 features, 5 classes x 4 clusters. Counted as one
+    // assignment pass (3 flops per point, centroid and dimension); the
+    // Lloyd iteration count depends on the data, so the rate is nominal
+    // and `ns_per_call` is the figure to compare.
+    let (n, d, k) = (512usize, 20usize, 20usize);
+    let mut data = Matrix::zeros(n, d);
+    fill(data.as_mut_slice(), 9);
+    let flops = 3 * (n * k * d) as u64;
+    let (ns, gf) = time_calls(flops, || KMeans::new(k, 17).fit(&data).inertia);
     points.push(KernelBenchPoint {
-        kernel: "softmax_rows".into(),
-        shape: "256x2".into(),
+        kernel: "kmeans_fit".into(),
+        shape: format!("{n}x{d},k={k}"),
         flops_per_call: flops,
         ns_per_call: ns,
         gflops: gf,
@@ -187,7 +212,15 @@ mod tests {
             assert!(p.flops_per_call > 0, "{p:?}");
         }
         // Every kernel family shows up.
-        for kernel in ["dot", "axpy", "matmul", "matmul_transa", "matmul_transb", "softmax_rows"] {
+        for kernel in [
+            "dot",
+            "axpy",
+            "matmul",
+            "matmul_transa",
+            "matmul_transb",
+            "softmax_rows",
+            "kmeans_fit",
+        ] {
             assert!(points.iter().any(|p| p.kernel == kernel), "missing {kernel}");
         }
     }

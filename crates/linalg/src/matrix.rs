@@ -496,12 +496,17 @@ impl Matrix {
             // each output element still sees plain ascending-k
             // accumulation, matching the pooled path below element-wise.
             // Narrow right-hand sides (backprop's `input^T · delta` with
-            // few classes) take a register-held copy of the shared row.
+            // up to eight classes) take a register-held copy of the
+            // shared row.
             match rhs.cols {
                 1 => self.matmul_transa_serial::<1>(rhs, out),
                 2 => self.matmul_transa_serial::<2>(rhs, out),
                 3 => self.matmul_transa_serial::<3>(rhs, out),
                 4 => self.matmul_transa_serial::<4>(rhs, out),
+                5 => self.matmul_transa_serial::<5>(rhs, out),
+                6 => self.matmul_transa_serial::<6>(rhs, out),
+                7 => self.matmul_transa_serial::<7>(rhs, out),
+                8 => self.matmul_transa_serial::<8>(rhs, out),
                 _ => self.matmul_transa_band_into(rhs, 0, self.cols, &mut out.data),
             }
             return;
@@ -527,25 +532,34 @@ impl Matrix {
         while c + MICRO_ROWS <= c1 {
             let mut j = 0;
             while j + MICRO_COLS <= n {
-                self.matmul_transa_micro(rhs, c, j, c0, out_band);
+                self.matmul_transa_micro::<{ MICRO_COLS }>(rhs, c, j, c0, out_band);
                 j += MICRO_COLS;
             }
-            if j < n {
-                self.matmul_transa_scalar(rhs, c, c + MICRO_ROWS, j, n, c0, out_band);
+            // Column remainder in registers too, as in `matmul_band_into`.
+            match n - j {
+                0 => {}
+                1 => self.matmul_transa_micro::<1>(rhs, c, j, c0, out_band),
+                2 => self.matmul_transa_micro::<2>(rhs, c, j, c0, out_band),
+                3 => self.matmul_transa_micro::<3>(rhs, c, j, c0, out_band),
+                4 => self.matmul_transa_micro::<4>(rhs, c, j, c0, out_band),
+                5 => self.matmul_transa_micro::<5>(rhs, c, j, c0, out_band),
+                6 => self.matmul_transa_micro::<6>(rhs, c, j, c0, out_band),
+                _ => self.matmul_transa_micro::<7>(rhs, c, j, c0, out_band),
             }
             c += MICRO_ROWS;
         }
         if c < c1 {
-            self.matmul_transa_scalar(rhs, c, c1, 0, n, c0, out_band);
+            self.matmul_transa_scalar(rhs, c, c1, c0, out_band);
         }
     }
 
-    /// `MICRO_ROWS x MICRO_COLS` register tile of `self^T * rhs`: output
-    /// rows `c..c + MICRO_ROWS`, columns `j..j + MICRO_COLS`, accumulated
-    /// over all shared rows in ascending order with register-resident
-    /// partial sums.
+    /// `MICRO_ROWS x N` register tile of `self^T * rhs`: output rows
+    /// `c..c + MICRO_ROWS`, columns `j..j + N`, accumulated over all
+    /// shared rows in ascending order with register-resident partial
+    /// sums. `N = MICRO_COLS` is the full-width tile; `N < MICRO_COLS`
+    /// serves the column remainder.
     #[inline]
-    fn matmul_transa_micro(
+    fn matmul_transa_micro<const N: usize>(
         &self,
         rhs: &Matrix,
         c: usize,
@@ -555,20 +569,20 @@ impl Matrix {
     ) {
         let n = rhs.cols;
         let k = self.cols;
-        assert!(c + MICRO_ROWS <= k && j + MICRO_COLS <= n && rhs.rows == self.rows);
+        assert!(c + MICRO_ROWS <= k && j + N <= n && rhs.rows == self.rows);
         let a = &self.data;
         let b = &rhs.data;
-        let mut acc = [[0.0f64; MICRO_COLS]; MICRO_ROWS];
+        let mut acc = [[0.0f64; N]; MICRO_ROWS];
         for r in 0..self.rows {
             // SAFETY: `r < self.rows = rhs.rows`, `c + MICRO_ROWS <= k`,
-            // and `j + MICRO_COLS <= n` (asserted above) bound every
-            // index below the respective buffer lengths; unchecked access
-            // hoists the per-row bounds checks out of the FMA loop.
+            // and `j + N <= n` (asserted above) bound every index below
+            // the respective buffer lengths; unchecked access hoists the
+            // per-row bounds checks out of the FMA loop.
             unsafe {
                 let a_row = a.get_unchecked(r * k + c..r * k + c + MICRO_ROWS);
-                let b_row = b.get_unchecked(r * n + j..r * n + j + MICRO_COLS);
+                let b_row = b.get_unchecked(r * n + j..r * n + j + N);
                 for (acc_c, &a_rc) in acc.iter_mut().zip(a_row) {
-                    for l in 0..MICRO_COLS {
+                    for l in 0..N {
                         acc_c[l] += a_rc * b_row[l];
                     }
                 }
@@ -576,23 +590,21 @@ impl Matrix {
         }
         for (row_idx, acc_c) in acc.iter().enumerate() {
             let base = (c + row_idx - c0) * n + j;
-            for (o, &v) in out_band[base..base + MICRO_COLS].iter_mut().zip(acc_c) {
+            for (o, &v) in out_band[base..base + N].iter_mut().zip(acc_c) {
                 *o += v;
             }
         }
     }
 
-    /// Scalar remainder of the blocked `self^T * rhs`: output rows
-    /// `[ca, cb)`, columns `[ja, jb)`, ascending shared-row accumulation
-    /// directly into the (zero-initialised) output band.
-    #[allow(clippy::too_many_arguments)] // tile coordinates: two index ranges + band offset
+    /// Scalar row remainder of the blocked `self^T * rhs`: output rows
+    /// `[ca, cb)` (fewer than [`MICRO_ROWS`]), every column, ascending
+    /// shared-row accumulation directly into the (zero-initialised)
+    /// output band.
     fn matmul_transa_scalar(
         &self,
         rhs: &Matrix,
         ca: usize,
         cb: usize,
-        ja: usize,
-        jb: usize,
         c0: usize,
         out_band: &mut [f64],
     ) {
@@ -600,7 +612,7 @@ impl Matrix {
         for (a_row, b_row) in self.row_iter().zip(rhs.row_iter()) {
             for (c, &a_rc) in a_row.iter().enumerate().take(cb).skip(ca) {
                 let base = (c - c0) * n;
-                for (o, &b) in out_band[base + ja..base + jb].iter_mut().zip(&b_row[ja..jb]) {
+                for (o, &b) in out_band[base..base + n].iter_mut().zip(b_row) {
                     *o += a_rc * b;
                 }
             }

@@ -313,6 +313,14 @@ fn blocked_kernels_bit_identical_to_naive_across_tile_boundaries() {
         (65, 3, 257),
         (70, 33, 300),
         (130, 17, 40),
+        // Narrow heads (5-8 columns, serial const-width arms) and column
+        // remainders of 5 and 7 after a full 8-wide tile.
+        (256, 20, 5),
+        (256, 10, 7),
+        (37, 6, 6),
+        (9, 5, 13),
+        (70, 12, 15),
+        (256, 3, 8),
     ];
     for &(m, k, n) in &shapes {
         let fill = |i: usize| ((i as f64) * 0.37).sin() * 5.0;

@@ -9,6 +9,13 @@ use freeway_linalg::Matrix;
 /// per-row loop, so results are bit-identical; the chunked walk just
 /// removes per-row bounds checks from what is (after the exp calls) the
 /// hottest few instructions in every forward pass.
+///
+/// When the row maximum is finite, the first element equal to it is
+/// written as `1.0` instead of computing `exp(max - max)`: that
+/// difference is `±0.0` and `exp(±0.0) == 1.0` exactly, so the result
+/// is unchanged and a row saves one `exp` call. An infinite maximum
+/// makes the difference NaN, so such rows (and all-NaN rows, whose
+/// maximum stays `-inf`) take the plain loop.
 pub fn softmax_rows(logits: &mut Matrix) {
     let cols = logits.cols();
     if cols == 0 {
@@ -16,16 +23,31 @@ pub fn softmax_rows(logits: &mut Matrix) {
     }
     for row in logits.as_mut_slice().chunks_exact_mut(cols) {
         let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let mut sum = 0.0;
-        for x in row.iter_mut() {
-            *x = (*x - max).exp();
-            sum += *x;
-        }
+        let sum = match row.iter().position(|&x| x == max).filter(|_| max.is_finite()) {
+            Some(top) => {
+                let (head, rest) = row.split_at_mut(top);
+                let sum = exp_shifted_into(head, max, 0.0);
+                rest[0] = 1.0;
+                exp_shifted_into(&mut rest[1..], max, sum + 1.0)
+            }
+            None => exp_shifted_into(row, max, 0.0),
+        };
         let inv = 1.0 / sum;
         for x in row.iter_mut() {
             *x *= inv;
         }
     }
+}
+
+/// `x = exp(x - max)` over `xs`, adding each result to `sum` in order;
+/// returns the sum.
+#[inline]
+fn exp_shifted_into(xs: &mut [f64], max: f64, mut sum: f64) -> f64 {
+    for x in xs {
+        *x = (*x - max).exp();
+        sum += *x;
+    }
+    sum
 }
 
 /// Mean cross-entropy of predicted class probabilities against integer
@@ -142,6 +164,59 @@ mod tests {
         softmax_rows(&mut b);
         assert!((a[(0, 0)] - b[(0, 0)]).abs() < 1e-12);
         assert!(b.is_finite());
+    }
+
+    /// The plain formulation, `exp` on every element: the bit-identity
+    /// oracle for `softmax_rows`.
+    fn reference_softmax_rows(logits: &mut Matrix) {
+        let cols = logits.cols();
+        for row in logits.as_mut_slice().chunks_exact_mut(cols.max(1)) {
+            let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            let mut sum = 0.0;
+            for x in row.iter_mut() {
+                *x = (*x - max).exp();
+                sum += *x;
+            }
+            let inv = 1.0 / sum;
+            for x in row.iter_mut() {
+                *x *= inv;
+            }
+        }
+    }
+
+    #[test]
+    fn softmax_rows_is_bit_identical_to_exp_every_element() {
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let mut rows: Vec<Vec<f64>> = vec![
+            vec![0.3, -1.2, 2.5, 2.5, 0.0],
+            vec![2.5, 2.5, 2.5, 2.5, 2.5],
+            vec![-0.0, 0.0, -0.0, -1.0, -2.0],
+            vec![0.0, -0.0, 1e-300, -1e-300, 0.0],
+            vec![1.0, inf, 3.0, inf, -2.0],
+            vec![-inf, -inf, -inf, -inf, -inf],
+            vec![nan, 1.0, nan, 4.0, 4.0],
+            vec![nan, nan, nan, nan, nan],
+            vec![-inf, 7.0, -inf, nan, 6.5],
+            vec![800.0, -800.0, 709.0, 0.1, 800.0],
+        ];
+        // Seeded pseudo-random rows at head widths 2 and 5.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..200 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let v = ((state >> 11) as f64 / (1u64 << 53) as f64) * 40.0 - 20.0;
+            rows.push(vec![v, v * 0.5 - 1.0, -v, v.round(), v.round()]);
+        }
+        let five = Matrix::from_rows(&rows);
+        let two = Matrix::from_vec(five.rows() * 5 / 2, 2, five.as_slice().to_vec());
+        for m in [five, two] {
+            let mut fast = m.clone();
+            let mut reference = m.clone();
+            softmax_rows(&mut fast);
+            reference_softmax_rows(&mut reference);
+            for (i, (a, b)) in fast.as_slice().iter().zip(reference.as_slice()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "element {i} of a {}-wide row", m.cols());
+            }
+        }
     }
 
     #[test]
